@@ -69,7 +69,7 @@ void RunClosure(benchmark::State& state, const GovernorLimits* limits) {
   size_t days = static_cast<size_t>(state.range(1));
   Value universe = ChainUniverse(stocks, days);
   ViewEngine engine = ClosureEngine();
-  EvalOptions options;  // semi-naive, auto parallelism: the production path
+  EvalOptions options;  // semi-naive: the production path
   uint64_t facts = 0;
   uint64_t checkpoints = 0;
   for (auto _ : state) {

@@ -9,9 +9,6 @@
 //    chains (recursive) — the naive engine re-derives the whole closure
 //    every pass, the semi-naive engine only extends the frontier. This is
 //    where the delta strategy earns its keep.
-//
-// The /parallel variants use materialize_parallelism=0 (auto); on a
-// single-core host they measure the thread-pool overhead, not a speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -37,11 +34,9 @@ ViewEngine EngineFor(const std::vector<std::string>& rule_texts) {
 }
 
 void RunMaterialize(benchmark::State& state, const ViewEngine& engine,
-                    const Value& universe, EvalStrategy strategy,
-                    size_t parallelism) {
+                    const Value& universe, EvalStrategy strategy) {
   EvalOptions options;
   options.strategy = strategy;
-  options.materialize_parallelism = parallelism;
   uint64_t facts = 0;
   uint64_t skipped = 0;
   for (auto _ : state) {
@@ -57,27 +52,22 @@ void RunMaterialize(benchmark::State& state, const ViewEngine& engine,
 
 // ---- Non-recursive: the paper pipeline on growing universes ----------------
 
-void PaperPipeline(benchmark::State& state, EvalStrategy strategy,
-                   size_t parallelism) {
+void PaperPipeline(benchmark::State& state, EvalStrategy strategy) {
   size_t stocks = static_cast<size_t>(state.range(0));
   idl::StockWorkload w = idl_bench::MakeWorkload(stocks, 30);
   Value universe = idl::BuildStockUniverse(w);
   ViewEngine engine = EngineFor(idl::PaperViewRules());
-  RunMaterialize(state, engine, universe, strategy, parallelism);
+  RunMaterialize(state, engine, universe, strategy);
 }
 
 void BM_PaperPipeline_Naive(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kNaive, 1);
+  PaperPipeline(state, EvalStrategy::kNaive);
 }
 void BM_PaperPipeline_SemiNaive(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kSemiNaive, 1);
-}
-void BM_PaperPipeline_SemiNaiveParallel(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kSemiNaive, 0);
+  PaperPipeline(state, EvalStrategy::kSemiNaive);
 }
 BENCHMARK(BM_PaperPipeline_Naive)->Arg(10)->Arg(100)->Arg(400);
 BENCHMARK(BM_PaperPipeline_SemiNaive)->Arg(10)->Arg(100)->Arg(400);
-BENCHMARK(BM_PaperPipeline_SemiNaiveParallel)->Arg(10)->Arg(100)->Arg(400);
 
 // ---- Recursive: reachability along each stock's trading-day chain ----------
 //
@@ -114,30 +104,24 @@ const std::vector<std::string>& ReachRules() {
   return kRules;
 }
 
-void DateChainTC(benchmark::State& state, EvalStrategy strategy,
-                 size_t parallelism) {
+void DateChainTC(benchmark::State& state, EvalStrategy strategy) {
   size_t stocks = static_cast<size_t>(state.range(0));
   size_t days = static_cast<size_t>(state.range(1));
   Value universe = ChainUniverse(stocks, days);
   ViewEngine engine = EngineFor(ReachRules());
-  RunMaterialize(state, engine, universe, strategy, parallelism);
+  RunMaterialize(state, engine, universe, strategy);
 }
 
 void BM_DateChainTC_Naive(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kNaive, 1);
+  DateChainTC(state, EvalStrategy::kNaive);
 }
 void BM_DateChainTC_SemiNaive(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kSemiNaive, 1);
-}
-void BM_DateChainTC_SemiNaiveParallel(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kSemiNaive, 0);
+  DateChainTC(state, EvalStrategy::kSemiNaive);
 }
 #define TC_ARGS \
   Args({10, 16})->Args({100, 16})->Args({1000, 16})->Args({10, 64})
 BENCHMARK(BM_DateChainTC_Naive)->TC_ARGS->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DateChainTC_SemiNaive)->TC_ARGS->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DateChainTC_SemiNaiveParallel)
-    ->TC_ARGS->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

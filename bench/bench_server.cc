@@ -59,7 +59,7 @@ void BM_ServerMixedSessions(benchmark::State& state) {
   size_t sessions = 0;
   size_t commits = 0;
   for (auto _ : state) {
-    pool.ParallelFor(num_sessions, [&](size_t task, size_t) {
+    pool.ParallelFor(num_sessions, [&](size_t task) {
       auto session = server.Connect();
       IDL_BENCH_CHECK(session.ok());
       auto unified = session->Query(kReadUnified);
@@ -142,7 +142,7 @@ void BM_ServerOverloadAdmission(benchmark::State& state) {
   for (auto _ : state) {
     std::atomic<size_t> ok{0};
     std::atomic<size_t> shed{0};
-    pool.ParallelFor(64, [&](size_t task, size_t) {
+    pool.ParallelFor(64, [&](size_t task) {
       std::string stk = StrCat("o", task);
       auto committed = server.Commit(
           StrCat("?.euter.r+(.date=6/2/2001, .stkCode=", stk,

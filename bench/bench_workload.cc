@@ -11,7 +11,7 @@
 //   evaluation. Should stay microseconds — the sweep calls it hundreds of
 //   times.
 // - UnifyTenants/*: cold Session materialization of the unified view over
-//   a generated universe, naive vs semi-naive vs parallel semi-naive.
+//   a generated universe, naive vs semi-naive.
 // - TraceStep/*: replay generated evolution steps (style flips, relation
 //   churn, upserts) against a live Session, incremental vs rematerialize —
 //   the maintenance ratio for *schema-shaped* deltas, not just row churn.
@@ -77,8 +77,7 @@ BENCHMARK(BM_GenerateTrace)->Arg(8)->Arg(32);
 
 // Cold materialization of the unified view (plus customized roll/wide
 // views) over a freshly registered N-tenant universe.
-void UnifyTenants(benchmark::State& state, EvalStrategy strategy,
-                  int parallelism) {
+void UnifyTenants(benchmark::State& state, EvalStrategy strategy) {
   DiscrepancyUniverse u = idl::GenerateDiscrepancyUniverse(
       BenchConfig(static_cast<size_t>(state.range(0))));
   size_t cells = 0;
@@ -92,7 +91,6 @@ void UnifyTenants(benchmark::State& state, EvalStrategy strategy,
     IDL_BENCH_CHECK(session.DefineRules(u.UnificationRules()).ok());
     EvalOptions options;
     options.strategy = strategy;
-    options.materialize_parallelism = parallelism;
     session.set_materialize_options(options);
     auto universe = session.universe();
     IDL_BENCH_CHECK(universe.ok());
@@ -106,17 +104,13 @@ void UnifyTenants(benchmark::State& state, EvalStrategy strategy,
 }
 
 void BM_UnifyTenants_Naive(benchmark::State& state) {
-  UnifyTenants(state, EvalStrategy::kNaive, 1);
+  UnifyTenants(state, EvalStrategy::kNaive);
 }
 void BM_UnifyTenants_SemiNaive(benchmark::State& state) {
-  UnifyTenants(state, EvalStrategy::kSemiNaive, 1);
-}
-void BM_UnifyTenants_SemiNaiveParallel(benchmark::State& state) {
-  UnifyTenants(state, EvalStrategy::kSemiNaive, 0);
+  UnifyTenants(state, EvalStrategy::kSemiNaive);
 }
 BENCHMARK(BM_UnifyTenants_Naive)->Arg(4)->Arg(16);
 BENCHMARK(BM_UnifyTenants_SemiNaive)->Arg(4)->Arg(16);
-BENCHMARK(BM_UnifyTenants_SemiNaiveParallel)->Arg(4)->Arg(16);
 
 // One evolution-trace request per iteration against a live Session; the
 // trace regenerates (same seed/salt) when exhausted. Schema-shaped deltas

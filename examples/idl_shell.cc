@@ -5,7 +5,7 @@
 //   build/examples/idl_shell                run the built-in demo script
 //
 // Flags (before the script argument):
-//   --strategy={naive,seminaive,parallel}   view materialization strategy
+//   --strategy={naive,seminaive}            view materialization strategy
 //   --maintenance={incremental,rematerialize}
 //                                           keep materialized views current
 //                                           by delta propagation (default)
@@ -230,7 +230,7 @@ Runs an IDL script (';'-separated rules, programs, queries and update
 requests) against the paper's three stock databases. With no script
 argument a built-in demo runs; '-' reads from stdin.
 
-  --strategy={naive,seminaive,parallel}  view materialization strategy
+  --strategy={naive,seminaive}           view materialization strategy
   --maintenance={incremental,rematerialize}
                         keep materialized views current by delta
                         propagation (the default) or rebuild from scratch
@@ -340,17 +340,11 @@ int main(int argc, char** argv) {
       std::string strategy = arg.substr(std::string("--strategy=").size());
       if (strategy == "naive") {
         eval_options.strategy = idl::EvalStrategy::kNaive;
-        eval_options.materialize_parallelism = 1;
       } else if (strategy == "seminaive") {
         eval_options.strategy = idl::EvalStrategy::kSemiNaive;
-        eval_options.materialize_parallelism = 1;
-      } else if (strategy == "parallel") {
-        eval_options.strategy = idl::EvalStrategy::kSemiNaive;
-        eval_options.materialize_parallelism = 0;  // auto-size the pool
       } else {
-        std::printf(
-            "unknown --strategy '%s' (want naive, seminaive or parallel)\n",
-            strategy.c_str());
+        std::printf("unknown --strategy '%s' (want naive or seminaive)\n",
+                    strategy.c_str());
         return 1;
       }
     } else if (arg.rfind("--maintenance=", 0) == 0) {

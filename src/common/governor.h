@@ -16,14 +16,14 @@
 //     (kResourceExhausted when exceeded).
 //
 // Layers poll it cooperatively: the view engine per fixpoint pass, per rule
-// batch and per derivation (including inside thread-pool workers), the query
-// evaluator per enumeration step, the update applier and program executor
-// per conjunct, and the federation gateway per site attempt (which also
-// derives its per-site RequestContext deadline from the governor's remaining
-// time). Checkpoints are two relaxed atomic ops on the fast path; the
-// wall clock is consulted every kTimeCheckStride-th checkpoint, so a
-// governed run with no limits costs effectively nothing (bench_governor
-// pins the overhead at < 2% on the 1000-stock recursive closure).
+// batch and per derivation, the query evaluator per enumeration step, the
+// update applier and program executor per conjunct, and the federation
+// gateway per site attempt (which also derives its per-site RequestContext
+// deadline from the governor's remaining time). Checkpoints are two relaxed
+// atomic ops on the fast path; the wall clock is consulted every
+// kTimeCheckStride-th checkpoint, so a governed run with no limits costs
+// effectively nothing (bench_governor pins the overhead at < 2% on the
+// 1000-stock recursive closure).
 //
 // Strong exception safety is the *caller's* half of the contract: every
 // evaluation stage writes into scratch state (the materializer derives into
@@ -117,7 +117,8 @@ class ResourceGovernor {
   // kDeadlineExceeded, or (from the Charge* methods' budgets) whatever
   // already fired — once a governor has aborted, every later checkpoint
   // returns the same status, so one missed return cannot resurrect a
-  // request. Thread-safe; called concurrently from pool workers.
+  // request. Thread-safe; called concurrently from the gateway's site
+  // workers and from threads that cancel.
   Status Checkpoint() const;
 
   // Budget charges. Each implies a checkpoint and returns the abort status

@@ -5,7 +5,7 @@ namespace idl {
 ThreadPool::ThreadPool(size_t num_workers) {
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i + 1); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -23,17 +23,17 @@ size_t ThreadPool::DefaultWorkers() {
   return hc > 1 ? hc - 1 : 0;
 }
 
-void ThreadPool::RunTask(const std::function<void(size_t, size_t)>& fn,
-                         size_t task, size_t slot) {
+void ThreadPool::RunTask(const std::function<void(size_t)>& fn,
+                         size_t task) {
   try {
-    fn(task, slot);
+    fn(task);
   } catch (...) {
     std::lock_guard<std::mutex> lock(exception_mu_);
     if (!first_exception_) first_exception_ = std::current_exception();
   }
 }
 
-void ThreadPool::WorkerLoop(size_t slot) {
+void ThreadPool::WorkerLoop() {
   uint64_t seen_batch = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -47,7 +47,7 @@ void ThreadPool::WorkerLoop(size_t slot) {
       size_t task = next_task_++;
       const auto* fn = fn_;
       lock.unlock();
-      RunTask(*fn, task, slot);
+      RunTask(*fn, task);
       lock.lock();
     }
     --busy_;
@@ -56,10 +56,10 @@ void ThreadPool::WorkerLoop(size_t slot) {
 }
 
 void ThreadPool::ParallelFor(
-    size_t num_tasks, const std::function<void(size_t, size_t)>& fn) {
+    size_t num_tasks, const std::function<void(size_t)>& fn) {
   if (num_tasks == 0) return;
   if (workers_.empty() || num_tasks == 1) {
-    for (size_t task = 0; task < num_tasks; ++task) RunTask(fn, task, 0);
+    for (size_t task = 0; task < num_tasks; ++task) RunTask(fn, task);
     RethrowPendingException();
     return;
   }
@@ -71,12 +71,12 @@ void ThreadPool::ParallelFor(
     ++batch_seq_;
   }
   work_cv_.notify_all();
-  // The calling thread drains tasks alongside the workers (slot 0).
+  // The calling thread drains tasks alongside the workers.
   std::unique_lock<std::mutex> lock(mu_);
   while (next_task_ < num_tasks_) {
     size_t task = next_task_++;
     lock.unlock();
-    RunTask(fn, task, 0);
+    RunTask(fn, task);
     lock.lock();
   }
   // All tasks claimed; wait for workers still executing theirs. A worker

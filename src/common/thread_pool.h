@@ -1,14 +1,9 @@
 // A small fixed-size worker pool for data-parallel batches.
 //
-// The view engine uses it to evaluate independent rule bodies of one
-// evaluation level concurrently: the universe is immutable during the
-// enumeration phase, so tasks share it read-only and only their result
-// slots are written (one slot per task, no locking).
-//
-// Each task is handed a dense *worker slot* id: 0 for the calling thread
-// (which participates in the batch), 1..num_workers() for pool threads.
-// Callers use the slot to address per-worker scratch (e.g. a SetIndexCache)
-// without synchronization.
+// The federation gateway uses it to fan requests out to its sites, and the
+// server's script driver and trace sweep to run concurrent readers against
+// one pinned epoch. Tasks write only their own result slot (one per task,
+// no locking); the calling thread participates in every batch.
 
 #ifndef IDL_COMMON_THREAD_POOL_H_
 #define IDL_COMMON_THREAD_POOL_H_
@@ -37,18 +32,15 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   size_t num_workers() const { return workers_.size(); }
-  // Worker slots available to ParallelFor callbacks: pool threads plus the
-  // calling thread.
-  size_t num_slots() const { return workers_.size() + 1; }
 
-  // Runs fn(task, slot) for every task in [0, num_tasks), claiming tasks
+  // Runs fn(task) for every task in [0, num_tasks), claiming tasks
   // dynamically. Blocks until all tasks finished. Not reentrant: fn must not
   // call ParallelFor on the same pool. Errors normally flow out through the
   // caller's result slots; if a task does throw, the batch still runs to
   // completion (no task is skipped, no worker dies) and the *first* exception
   // is rethrown on the calling thread afterwards — the pool remains usable.
   void ParallelFor(size_t num_tasks,
-                   const std::function<void(size_t task, size_t slot)>& fn);
+                   const std::function<void(size_t task)>& fn);
 
   // Worker count that saturates this machine when the calling thread
   // participates too: hardware_concurrency - 1 (0 on single-core boxes and
@@ -56,10 +48,9 @@ class ThreadPool {
   static size_t DefaultWorkers();
 
  private:
-  void WorkerLoop(size_t slot);
+  void WorkerLoop();
   // Runs one task, capturing the first exception for RethrowPendingException.
-  void RunTask(const std::function<void(size_t, size_t)>& fn, size_t task,
-               size_t slot);
+  void RunTask(const std::function<void(size_t)>& fn, size_t task);
   void RethrowPendingException();
 
   std::vector<std::thread> workers_;
@@ -70,7 +61,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals a new batch (or shutdown)
   std::condition_variable done_cv_;   // signals batch completion
-  const std::function<void(size_t, size_t)>* fn_ = nullptr;
+  const std::function<void(size_t)>* fn_ = nullptr;
   size_t next_task_ = 0;
   size_t num_tasks_ = 0;
   size_t busy_ = 0;        // workers currently executing batch tasks

@@ -116,26 +116,24 @@ std::string FormatSiteStats(const std::vector<SiteStats>& sites) {
 std::string FormatStratumStats(const std::vector<StratumStats>& strata) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"stratum", "rules", "passes", "rec", "subs", "skipped",
-                  "delta", "par", "wall_ms"});
+                  "delta", "wall_ms"});
   StratumStats total;
   for (const auto& s : strata) {
     rows.push_back({StrCat(s.stratum), StrCat(s.rules), StrCat(s.passes),
                     s.recursive ? "yes" : "no", StrCat(s.substitutions),
                     StrCat(s.substitutions_skipped), StrCat(s.delta_facts),
-                    StrCat(s.parallel_tasks), FormatMs(s.wall_ms)});
+                    FormatMs(s.wall_ms)});
     total.rules += s.rules;
     total.passes += s.passes;
     total.substitutions += s.substitutions;
     total.substitutions_skipped += s.substitutions_skipped;
     total.delta_facts += s.delta_facts;
-    total.parallel_tasks += s.parallel_tasks;
     total.wall_ms += s.wall_ms;
   }
   rows.push_back({"total", StrCat(total.rules), StrCat(total.passes), "",
                   StrCat(total.substitutions),
                   StrCat(total.substitutions_skipped),
-                  StrCat(total.delta_facts), StrCat(total.parallel_tasks),
-                  FormatMs(total.wall_ms)});
+                  StrCat(total.delta_facts), FormatMs(total.wall_ms)});
   return AlignRows(rows);
 }
 

@@ -44,8 +44,8 @@ struct EvalStats {
 };
 
 // Per-rule timing inside one evaluation wave, split into the two phases the
-// engine alternates: body enumeration (parallelizable, read-only) and head
-// writing (sequential, in rule order). Sums cover every pass the rule was
+// engine alternates: body enumeration (read-only) and head writing (in rule
+// order). Sums cover every pass the rule was
 // active in.
 struct RuleTimingStats {
   int rule = 0;       // index in the engine's rule list
@@ -78,11 +78,10 @@ struct StratumStats {
   uint64_t substitutions = 0;          // body substitutions processed
   uint64_t substitutions_skipped = 0;  // replays avoided vs. naive (estimate)
   uint64_t delta_facts = 0;            // facts recorded into pass deltas
-  uint64_t parallel_tasks = 0;         // rule evaluations run on pool threads
   double wall_ms = 0.0;
-  // CPU time attributable to this wave: enumeration-task thread CPU (summed
-  // across workers) plus the sequential write phase's. Can exceed wall_ms
-  // under parallelism.
+  // CPU time attributable to this wave: the calling thread's CPU during
+  // enumeration and during the write phase, so it stays within wall_ms (up
+  // to clock granularity).
   double cpu_ms = 0.0;
   std::vector<RuleTimingStats> rule_timings;  // one row per rule in the wave
 };

@@ -6,7 +6,7 @@
 //
 //  * per-evaluation (the original design): created by EvaluateQuery /
 //    EnumerateBindings, discarded afterwards;
-//  * persistent (the view engine): one cache per worker thread survives
+//  * persistent (the view engine): one cache per materialization survives
 //    across rules and fixpoint passes of a materialization, keyed by a
 //    *universe generation* counter that the engine bumps whenever MakeTrue
 //    changes the universe. EnsureGeneration drops every entry on a

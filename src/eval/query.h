@@ -43,7 +43,7 @@ enum class EvalStrategy {
   kNaive,
   // Semi-naive delta evaluation: passes after the first only re-derive
   // substitutions whose body touches a fact derived in the previous pass,
-  // with independent rules of one evaluation level run in parallel.
+  // with independent rules of one evaluation level merged into one wave.
   kSemiNaive,
 };
 
@@ -105,10 +105,6 @@ struct EvalOptions {
   size_t index_min_set_size = 32;
   // Materialization only: fixpoint evaluation strategy.
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  // Materialization only: worker threads for rule-body evaluation under
-  // kSemiNaive. 0 = auto (hardware concurrency), 1 = serial, N = N-way.
-  // Results are identical for every value (writes stay sequential).
-  size_t materialize_parallelism = 0;
   // Materialization only: how the session maintains the cached
   // materialization across base changes. Incremental maintenance needs the
   // per-level state only kSemiNaive records, so kNaive always

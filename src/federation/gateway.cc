@@ -330,7 +330,7 @@ Result<Gateway::FederatedFetch> Gateway::Fetch(
   const uint64_t parent_span = Trace::CurrentSpan();
   std::vector<Result<Value>> fetched(involved.size(),
                                      Result<Value>(Internal("not fetched")));
-  pool_.ParallelFor(involved.size(), [&](size_t task, size_t) {
+  pool_.ParallelFor(involved.size(), [&](size_t task) {
     auto start = std::chrono::steady_clock::now();
     fetched[task] = FetchSite(*involved[task], plan, governor, parent_span);
     fetch_ms->Observe(
@@ -421,7 +421,7 @@ Result<MultiQueryResult> Gateway::Broadcast(const FoQuery& query,
   const uint64_t parent_span = Trace::CurrentSpan();
   std::vector<Result<ResultSet>> answers(
       involved.size(), Result<ResultSet>(Internal("not fetched")));
-  pool_.ParallelFor(involved.size(), [&](size_t task, size_t) {
+  pool_.ParallelFor(involved.size(), [&](size_t task) {
     SiteState& st = *involved[task];
     TraceSpan site_span("site.execute", StrCat("site=", st.site->name()),
                         parent_span);

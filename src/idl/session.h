@@ -202,8 +202,8 @@ class Session {
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats(); }
 
-  // Options used when (re)materializing views — strategy and parallelism
-  // (see EvalOptions). Changing them invalidates the cached materialization.
+  // Options used when (re)materializing views — strategy, maintenance and
+  // substrate (see EvalOptions). Changing them invalidates the cached materialization.
   void set_materialize_options(const EvalOptions& options) {
     materialize_options_ = options;
     Invalidate();

@@ -155,8 +155,16 @@ class LiteralParser {
   Result<Value> ParseOne() {
     SkipSpace();
     char c = Peek();
-    if (c == '(') return ParseTuple();
-    if (c == '{') return ParseSet();
+    if (c == '(' || c == '{') {
+      if (depth_ == kMaxNestingDepth) {
+        return ParseError(StrCat("nesting deeper than ", kMaxNestingDepth,
+                                 " at offset ", pos_));
+      }
+      ++depth_;
+      Result<Value> v = c == '(' ? ParseTuple() : ParseSet();
+      --depth_;
+      return v;
+    }
     if (c == '"') return ParseQuoted();
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       return ParseNumberOrDate();
@@ -312,6 +320,7 @@ class LiteralParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // tuples and sets currently open
 };
 
 }  // namespace

@@ -27,6 +27,12 @@ std::string ToString(const Value& v);
 // more than `wrap_threshold` entries are broken across lines.
 std::string ToPrettyString(const Value& v, size_t wrap_threshold = 4);
 
+// Deepest tuple/set nesting ParseValue accepts, and the deepest expression
+// nesting the script parser accepts (syntax/parser.h), so any value a
+// script can spell also reloads from a snapshot. Deeper input is rejected
+// with a positioned ParseError instead of exhausting the stack.
+inline constexpr int kMaxNestingDepth = 256;
+
 // Parses a literal produced by ToString (or written by hand).
 Result<Value> ParseValue(std::string_view text);
 

@@ -124,7 +124,7 @@ Result<ServerScriptResult> RunServerScript(Server* server,
           // their shared pinned epoch; the answers must be byte-identical.
           std::vector<Result<Answer>> answers(num_sessions,
                                               Result<Answer>(Answer{}));
-          pool.ParallelFor(num_sessions, [&](size_t task, size_t) {
+          pool.ParallelFor(num_sessions, [&](size_t task) {
             answers[task] = sessions[task].Query(text, request_options);
           });
           if (!answers[0].ok()) {

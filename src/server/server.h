@@ -101,8 +101,8 @@ struct ServerOptions {
   // Commit-queue bound: an Update arriving while this many commits are
   // already pending is rejected with kResourceExhausted.
   size_t max_pending_commits = 64;
-  // Materialization options of the inner session (strategy, parallelism,
-  // maintenance mode). Incremental maintenance needs kSemiNaive.
+  // Materialization options of the inner session (strategy, maintenance
+  // mode). Incremental maintenance needs kSemiNaive.
   EvalOptions materialize;
   DurabilityOptions durability;
 };

@@ -88,7 +88,7 @@ std::string CheckUniverse(const DiscrepancyConfig& config,
       }
     }
     std::vector<std::string> failures(readers.size());
-    pool.ParallelFor(readers.size(), [&](size_t task, size_t) {
+    pool.ParallelFor(readers.size(), [&](size_t task) {
       Result<Answer> answer =
           readers[task].Query("?.u.p(.tn=T, .ent=E, .key=K, .val=V)");
       if (!answer.ok()) {

@@ -1,6 +1,7 @@
 #include "syntax/parser.h"
 
 #include "common/str_util.h"
+#include "object/value_io.h"
 #include "syntax/lexer.h"
 
 namespace idl {
@@ -91,6 +92,20 @@ class Parser {
   Status ErrorAt(std::string_view what) const {
     return ParseError(
         StrCat(what, " (at ", Peek().line, ":", Peek().column, ")"));
+  }
+
+  // Runs `parse` one nesting level deeper. Every recursive production goes
+  // through here, so input nested past kMaxNestingDepth fails with a
+  // positioned error instead of exhausting the stack.
+  template <typename Parse>
+  auto Nested(Parse parse) -> decltype(parse()) {
+    if (depth_ == kMaxNestingDepth) {
+      return ErrorAt(StrCat("nesting deeper than ", kMaxNestingDepth));
+    }
+    ++depth_;
+    auto result = parse();
+    --depth_;
+    return result;
   }
 
   Status Expect(TokenKind kind) {
@@ -255,7 +270,7 @@ class Parser {
         return Unexpected("attribute name or variable after '.'");
       }
       if (StartsExpr()) {
-        IDL_ASSIGN_OR_RETURN(item.expr, ParseExpr());
+        IDL_ASSIGN_OR_RETURN(item.expr, Nested([&] { return ParseExpr(); }));
       }
       items.push_back(std::move(item));
       // Further items of this same tuple expression appear only inside
@@ -275,7 +290,7 @@ class Parser {
     if (Check(TokenKind::kRParen)) {
       inner = Expr::Epsilon();
     } else {
-      IDL_ASSIGN_OR_RETURN(inner, ParseInnerExpr());
+      IDL_ASSIGN_OR_RETURN(inner, Nested([&] { return ParseInnerExpr(); }));
     }
     IDL_RETURN_IF_ERROR(Expect(TokenKind::kRParen));
     return Expr::Set(std::move(inner), update);
@@ -358,7 +373,7 @@ class Parser {
 
   Result<Term> ParsePrimaryTerm() {
     if (Consume(TokenKind::kMinus)) {
-      IDL_ASSIGN_OR_RETURN(Term t, ParsePrimaryTerm());
+      IDL_ASSIGN_OR_RETURN(Term t, Nested([&] { return ParsePrimaryTerm(); }));
       return Term::Arith(ArithOp::kSub, Term::Const(Value::Int(0)),
                          std::move(t));
     }
@@ -448,6 +463,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // enclosing Nested() productions
 };
 
 Result<Parser> MakeParser(std::string_view text) {

@@ -10,7 +10,6 @@
 
 #include "common/metrics.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "eval/index.h"
 #include "eval/matcher.h"
@@ -62,13 +61,11 @@ void BumpEngineMetrics(const Materialized& m, const EvalStats& run_stats) {
   static Counter* passes = registry.counter("engine.fixpoint_passes");
   static Counter* facts = registry.counter("engine.facts_derived");
   static Counter* changes = registry.counter("engine.changes");
-  static Counter* par = registry.counter("engine.parallel_tasks");
   static Histogram* wall = registry.histogram("engine.materialize_ms");
   runs->Increment();
   passes->Increment(static_cast<uint64_t>(m.fixpoint_passes));
   facts->Increment(m.facts_derived);
   changes->Increment(m.changes);
-  par->Increment(m.parallel_tasks);
   wall->Observe(m.wall_ms);
   run_stats.BumpMetrics();
 }
@@ -643,7 +640,7 @@ Result<Materialized> MaterializeNaive(const std::vector<Rule>& rules,
   return m;
 }
 
-// ---- kSemiNaive: delta-driven fixpoint with parallel rule evaluation -------
+// ---- kSemiNaive: delta-driven fixpoint ------------------------------------
 //
 // The per-level wave is shared between full materialization and incremental
 // maintenance (ViewEngine::ApplyDelta): SemiNaiveContext carries everything
@@ -657,12 +654,10 @@ struct SemiNaiveContext {
   std::vector<std::vector<ConjunctClass>> classes;  // per rule
   EvalOptions options;
   const ResourceGovernor* governor = nullptr;
-  // Worker pool: the calling thread always participates (slot 0), so
-  // parallelism P means P-1 pool threads. One persistent index cache per
-  // worker slot, invalidated by the generation counter, which every
-  // universe mutation outside a wave's own write phase must bump too.
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<std::unique_ptr<SetIndexCache>> caches;
+  // One index cache persists across rules and passes, invalidated by the
+  // generation counter, which every universe mutation outside a wave's own
+  // write phase must bump too.
+  std::unique_ptr<SetIndexCache> cache;
   uint64_t generation = 1;
   EvalStats mat_stats;               // this run only (merged by the caller)
   std::vector<std::string> derived;  // path per processed substitution
@@ -690,18 +685,7 @@ Status InitSemiNaive(const std::vector<Rule>& rules,
   ctx->options = options;
   ctx->governor = governor;
   ctx->m = m;
-  size_t parallelism = options.materialize_parallelism == 0
-                           ? ThreadPool::DefaultWorkers() + 1
-                           : options.materialize_parallelism;
-  if (parallelism > 1) {
-    ctx->pool = std::make_unique<ThreadPool>(parallelism - 1);
-  }
-  const size_t num_slots = ctx->pool != nullptr ? ctx->pool->num_slots() : 1;
-  ctx->caches.reserve(num_slots);
-  for (size_t s = 0; s < num_slots; ++s) {
-    ctx->caches.push_back(
-        std::make_unique<SetIndexCache>(options.index_min_set_size));
-  }
+  ctx->cache = std::make_unique<SetIndexCache>(options.index_min_set_size);
   return Status::Ok();
 }
 
@@ -823,96 +807,64 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
     TraceSpan pass_span("pass",
                         StrCat("pass=", row.passes, " active=", active.size()));
 
-    // ---- enumeration phase: the universe is immutable, so rule bodies
-    // evaluate concurrently; each task gets its own result slot, stats,
-    // and per-worker index cache. Phase timings land in the task's own
-    // slot (thread-safe) and are folded into the rule timings by the
-    // sequential collection loop below.
-    struct TaskResult {
-      std::vector<Substitution> sigmas;
-      Status status = Status::Ok();
-      EvalStats stats;
-      PlanInfo plan;  // merged across this task's delta variants
-      double enum_wall_ms = 0.0;
-      double enum_cpu_ms = 0.0;
-    };
-    std::vector<TaskResult> results(active.size());
-    const bool run_parallel = ctx->pool != nullptr && active.size() > 1;
-    if (run_parallel) {
-      // Pre-compute every lazily-cached structural hash while still
-      // single-threaded: concurrent readers must not race on the caches.
-      m.universe.Hash();
-      if (!delta.is_null()) delta.Hash();
-    }
-    auto run_task = [&](size_t t, size_t slot) {
-      TaskResult& out = results[t];
-      const size_t k = active[t];
-      const Rule& rule = rules[level_rules[k]];
-      auto enum_start = std::chrono::steady_clock::now();
-      int64_t enum_cpu_start = ThreadCpuNs();
-      SetIndexCache* cache = ctx->caches[slot].get();
-      cache->EnsureGeneration(ctx->generation);
-      auto collect = [&](const Substitution& sigma) {
-        out.sigmas.push_back(sigma);
-        return true;
-      };
-      std::vector<ConjunctSource> sources;
-      sources.reserve(rule.body.size());
-      for (const auto& conjunct : rule.body) {
-        sources.push_back(ConjunctSource{conjunct.get(), &m.universe});
-      }
-      if (!use_delta) {
-        Result<bool> r =
-            EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                  collect, governor, &out.plan);
-        if (!r.ok()) out.status = r.status();
-      } else {
-        // One variant per delta-eligible conjunct: that conjunct reads
-        // the delta, the rest the full universe. The union over variants
-        // covers every substitution whose body touches a new fact.
-        for (size_t pos : delta_positions[k]) {
-          sources[pos].universe = &delta;
-          Result<bool> r =
-              EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                    collect, governor, &out.plan);
-          sources[pos].universe = &m.universe;
-          if (!r.ok()) {
-            out.status = r.status();
-            break;
-          }
-        }
-        DedupSubstitutions(&out.sigmas);
-      }
-      if (!out.status.ok()) {
-        out.status = out.status.WithContext(
-            StrCat("evaluating body of '", rule.source, "'"));
-      }
-      out.enum_wall_ms = MsSince(enum_start);
-      out.enum_cpu_ms = CpuMsSince(enum_cpu_start);
-    };
+    // ---- enumeration phase: every active rule body enumerates over the
+    // universe as the pass found it; heads are written only afterwards, so
+    // no rule sees a fact derived earlier in the same pass.
+    std::vector<std::vector<Substitution>> results(active.size());
+    ctx->cache->EnsureGeneration(ctx->generation);
     {
-      TraceSpan enum_span(
-          "enumerate", StrCat("tasks=", active.size(),
-                              run_parallel ? " parallel" : ""));
-      if (run_parallel) {
-        ctx->pool->ParallelFor(active.size(), run_task);
-        row.parallel_tasks += active.size();
-      } else {
-        for (size_t t = 0; t < active.size(); ++t) run_task(t, 0);
+      TraceSpan enum_span("enumerate", StrCat("tasks=", active.size()));
+      for (size_t t = 0; t < active.size(); ++t) {
+        const size_t k = active[t];
+        const Rule& rule = rules[level_rules[k]];
+        RuleTimingStats& timing = row.rule_timings[k];
+        auto enum_start = std::chrono::steady_clock::now();
+        int64_t enum_cpu_start = ThreadCpuNs();
+        std::vector<Substitution>& sigmas = results[t];
+        auto collect = [&](const Substitution& sigma) {
+          sigmas.push_back(sigma);
+          return true;
+        };
+        std::vector<ConjunctSource> sources;
+        sources.reserve(rule.body.size());
+        for (const auto& conjunct : rule.body) {
+          sources.push_back(ConjunctSource{conjunct.get(), &m.universe});
+        }
+        PlanInfo plan;  // merged across this rule's delta variants
+        Status status = Status::Ok();
+        if (!use_delta) {
+          status = EnumerateBindingsOver(sources, options, &ctx->mat_stats,
+                                         ctx->cache.get(), collect, governor,
+                                         &plan)
+                       .status();
+        } else {
+          // One variant per delta-eligible conjunct: that conjunct reads
+          // the delta, the rest the full universe. The union over variants
+          // covers every substitution whose body touches a new fact.
+          for (size_t pos : delta_positions[k]) {
+            sources[pos].universe = &delta;
+            status = EnumerateBindingsOver(sources, options, &ctx->mat_stats,
+                                           ctx->cache.get(), collect,
+                                           governor, &plan)
+                         .status();
+            sources[pos].universe = &m.universe;
+            if (!status.ok()) break;
+          }
+          DedupSubstitutions(&sigmas);
+        }
+        if (!status.ok()) {
+          return status.WithContext(
+              StrCat("evaluating body of '", rule.source, "'"));
+        }
+        ++timing.passes;
+        FoldPlanInfo(plan, &timing);
+        timing.enumerate_ms += MsSince(enum_start) - plan.plan_ms;
+        row.cpu_ms += CpuMsSince(enum_cpu_start);
       }
-    }
-    for (size_t t = 0; t < active.size(); ++t) {
-      IDL_RETURN_IF_ERROR(results[t].status);
-      ctx->mat_stats += results[t].stats;
-      RuleTimingStats& timing = row.rule_timings[active[t]];
-      ++timing.passes;
-      FoldPlanInfo(results[t].plan, &timing);
-      timing.enumerate_ms += results[t].enum_wall_ms - results[t].plan.plan_ms;
-      row.cpu_ms += results[t].enum_cpu_ms;
     }
 
-    // ---- write phase: sequential, in rule order, so results do not
-    // depend on thread count. Changes are recorded into the next delta.
+    // ---- write phase: in rule order. Changes are recorded into the next
+    // delta.
     TraceSpan write_span("write");
     int64_t write_cpu_start = ThreadCpuNs();
     Value next_delta;
@@ -923,16 +875,16 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       const Rule& rule = rules[level_rules[k]];
       RuleTimingStats& timing = row.rule_timings[k];
       auto write_start = std::chrono::steady_clock::now();
-      row.substitutions += results[t].sigmas.size();
-      timing.substitutions += results[t].sigmas.size();
-      if (use_delta && cumulative[k] > results[t].sigmas.size()) {
+      const std::vector<Substitution>& sigmas = results[t];
+      row.substitutions += sigmas.size();
+      timing.substitutions += sigmas.size();
+      if (use_delta && cumulative[k] > sigmas.size()) {
         // A naive pass would have re-enumerated (at least) everything this
         // rule derived so far; the delta variants only replayed these.
-        row.substitutions_skipped +=
-            cumulative[k] - results[t].sigmas.size();
+        row.substitutions_skipped += cumulative[k] - sigmas.size();
       }
-      cumulative[k] += results[t].sigmas.size();
-      for (const auto& sigma : results[t].sigmas) {
+      cumulative[k] += sigmas.size();
+      for (const auto& sigma : sigmas) {
         IDL_RETURN_IF_ERROR(ProcessSubstitution(rule, sigma, &writer, &m,
                                                 &ctx->derived, &next_delta,
                                                 governor));
@@ -981,7 +933,6 @@ Result<Materialized> MaterializeSemiNaive(const std::vector<Rule>& rules,
                                        nullptr));
     m.level_written[level] = SortedUniqueSlice(ctx.derived, derived_before);
     m.substitutions_skipped += row.substitutions_skipped;
-    m.parallel_tasks += row.parallel_tasks;
     m.cpu_ms += row.cpu_ms;
     m.stratum_stats.push_back(row);
   }
@@ -1287,7 +1238,7 @@ std::string Materialized::Explain() const {
       StrCat(FormatStratumStats(stratum_stats), "facts=", facts_derived,
              " changes=", changes, " passes=", fixpoint_passes,
              " delta=", delta_size, " skipped=", substitutions_skipped,
-             " idxreused=", indexes_reused, " par=", parallel_tasks, "\n");
+             " idxreused=", indexes_reused, "\n");
   if (maintenance.deltas_applied > 0 || maintenance.fallbacks > 0) {
     out += FormatMaintenanceStats(maintenance);
   }

@@ -20,14 +20,13 @@
 //
 //  * kSemiNaive (default) — rules are grouped into topological *levels*
 //    (independent SCCs of equal depth merged into one wave). Each pass
-//    first enumerates all rule bodies read-only — concurrently on a thread
-//    pool when materialize_parallelism allows — then writes all heads
-//    sequentially in rule order, recording every change into a *delta
-//    universe*. Passes after the first replace, one at a time, each body
-//    conjunct that may read this level's heads with the delta universe, so
-//    only substitutions touching a newly derived fact are re-derived.
-//    Per-worker SetIndexCaches persist across rules and passes, invalidated
-//    by a universe generation counter bumped on change (eval/index.h).
+//    first enumerates all rule bodies read-only, then writes all heads in
+//    rule order, recording every change into a *delta universe*. Passes
+//    after the first replace, one at a time, each body conjunct that may
+//    read this level's heads with the delta universe, so only substitutions
+//    touching a newly derived fact are re-derived. One SetIndexCache
+//    persists across rules and passes, invalidated by a universe generation
+//    counter bumped on change (eval/index.h).
 //
 // Both strategies write heads in rule order with identical per-rule
 // substitution enumeration order, so for non-recursive programs the results
@@ -71,14 +70,14 @@ struct Materialized {
   uint64_t delta_size = 0;             // facts recorded into pass deltas
   uint64_t substitutions_skipped = 0;  // replays avoided vs naive (estimate)
   uint64_t indexes_reused = 0;         // index probes served without a build
-  uint64_t parallel_tasks = 0;         // rule evaluations run on pool threads
+  uint64_t parallel_tasks = 0;         // always 0; perfbench/ still reads it
   std::vector<StratumStats> stratum_stats;  // one row per evaluation wave
 
   // End-to-end timings of the materialization (stratification + every
   // wave). cpu_ms is the sum of the waves' attributed CPU (see
   // StratumStats::cpu_ms); wall_ms is one clock around the whole run, so
   // the per-stratum walls sum to slightly under it (the remainder is
-  // stratification, classification and pool setup).
+  // stratification and classification).
   double wall_ms = 0.0;
   double cpu_ms = 0.0;
 
@@ -133,11 +132,11 @@ class ViewEngine {
   void Clear() { rules_.clear(); }
 
   // Evaluates all rules against `base`, stratum by stratum, iterating each
-  // recursive stratum to fixpoint. Strategy and parallelism come from
-  // `options` (EvalOptions() means semi-naive, auto parallelism).
+  // recursive stratum to fixpoint. The strategy comes from `options`
+  // (EvalOptions() means semi-naive).
   //
   // `governor`, when non-null, is polled per fixpoint pass, per rule batch,
-  // and per derivation (including inside thread-pool workers): a cancelled
+  // and per derivation: a cancelled
   // or out-of-budget materialization returns the governor's abort status
   // and publishes nothing — derivation happens in a scratch copy of `base`,
   // so the caller's universe is untouched (strong exception safety).

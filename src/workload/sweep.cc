@@ -18,9 +18,7 @@
 namespace idl {
 
 std::string ModePoint::Label() const {
-  std::string label = strategy == EvalStrategy::kNaive ? "naive"
-                      : parallelism == 1               ? "semi"
-                                                       : "semi-par";
+  std::string label = strategy == EvalStrategy::kNaive ? "naive" : "semi";
   label += maintenance == MaintenanceMode::kIncremental ? "/inc" : "/remat";
   label += federated ? (faulty ? "/fed+faults" : "/fed") : "/direct";
   label += governed ? "/gov" : "/plain";
@@ -30,35 +28,26 @@ std::string ModePoint::Label() const {
 
 std::vector<ModePoint> FullModeLattice() {
   std::vector<ModePoint> modes;
-  struct StrategyPoint {
-    EvalStrategy strategy;
-    size_t parallelism;
-  };
-  const StrategyPoint strategies[] = {
-      {EvalStrategy::kNaive, 1},
-      {EvalStrategy::kSemiNaive, 1},
-      {EvalStrategy::kSemiNaive, 0},
-  };
-  for (const auto& sp : strategies) {
+  for (EvalStrategy strategy :
+       {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
     for (MaintenanceMode maintenance :
          {MaintenanceMode::kRematerialize, MaintenanceMode::kIncremental}) {
       for (bool federated : {false, true}) {
         for (bool governed : {false, true}) {
           ModePoint mode;
-          mode.strategy = sp.strategy;
-          mode.parallelism = sp.parallelism;
+          mode.strategy = strategy;
           mode.maintenance = maintenance;
           mode.federated = federated;
           mode.faulty = federated;
           mode.governed = governed;
-          mode.substrate = sp.strategy == EvalStrategy::kNaive
+          mode.substrate = strategy == EvalStrategy::kNaive
                                ? EvalSubstrate::kNested
                                : EvalSubstrate::kColumnar;
           modes.push_back(mode);
           // Cost-planned variant of every semi-naive point: the planner's
           // byte-identity contract gets cross-checked against the whole
           // lattice. The naive oracle points stay written-order.
-          if (sp.strategy == EvalStrategy::kSemiNaive) {
+          if (strategy == EvalStrategy::kSemiNaive) {
             mode.planner = PlannerMode::kCostBased;
             modes.push_back(mode);
           }
@@ -153,7 +142,6 @@ std::string CheckScenario(const DiscrepancyConfig& config, size_t trace_steps,
     runner->fault_rng = Rng(config.seed ^ 0xfa017ULL);
     EvalOptions materialize;
     materialize.strategy = mode.strategy;
-    materialize.materialize_parallelism = mode.parallelism;
     materialize.maintenance = mode.maintenance;
     materialize.substrate = mode.substrate;
     materialize.planner = mode.planner;

@@ -2,7 +2,7 @@
 //
 // A ModePoint is one configuration of the engine's mode lattice:
 //
-//   strategy     naive | semi-naive serial | semi-naive parallel
+//   strategy     naive | semi-naive
 //   maintenance  rematerialize | incremental
 //   federation   direct (databases registered in-process) | gateway
 //                (every tenant behind a SimulatedRemoteSite with injected
@@ -15,8 +15,8 @@
 //                order, so every semi-naive point gets a "/plan" variant
 //                cross-checked against the whole lattice)
 //
-// FullModeLattice() enumerates the 3 x 2 x 2 x 2 = 24 base points plus a
-// cost-planned variant of each of the 16 semi-naive points (40 total); the
+// FullModeLattice() enumerates the 2 x 2 x 2 x 2 = 16 base points plus a
+// cost-planned variant of each of the 8 semi-naive points (24 total); the
 // first is the reference (naive / rematerialize / direct / ungoverned — the
 // oracle strategy evaluating from scratch with no federation or governor in
 // the loop).
@@ -47,8 +47,6 @@ namespace idl {
 
 struct ModePoint {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  // EvalOptions::materialize_parallelism (1 = serial, 0 = auto).
-  size_t parallelism = 1;
   MaintenanceMode maintenance = MaintenanceMode::kIncremental;
   // Tenants behind a federation gateway (SimulatedRemoteSite per tenant)
   // instead of locally registered databases.
@@ -70,13 +68,13 @@ struct ModePoint {
   // modes.
   PlannerMode planner = PlannerMode::kWrittenOrder;
 
-  // "semi-par/inc/fed+faults/gov/plan" — stable, locked by
-  // explain_format_test ("/plan" appended only under kCostBased, so the 24
+  // "semi/inc/fed+faults/gov/plan" — stable, locked by
+  // explain_format_test ("/plan" appended only under kCostBased, so the 16
   // base labels are unchanged).
   std::string Label() const;
 };
 
-// The full 40-point lattice (24 base + 16 cost-planned semi-naive
+// The full 24-point lattice (16 base + 8 cost-planned semi-naive
 // variants); [0] is the reference mode.
 std::vector<ModePoint> FullModeLattice();
 

@@ -1,5 +1,5 @@
 // Differential harness for the two fixpoint strategies (views/engine.h):
-// the naive engine is the oracle; semi-naive (serial and parallel) must
+// the naive engine is the oracle; semi-naive must
 // produce the same merged universe and the same derived paths on
 //   - every paper view program (plain, name mappings, discrepancies +
 //     reconciliation),
@@ -39,51 +39,38 @@ ViewEngine BuildEngine(const std::vector<std::string>& rule_texts) {
 }
 
 Materialized MaterializeWith(const ViewEngine& engine, const Value& universe,
-                             EvalStrategy strategy, size_t parallelism,
+                             EvalStrategy strategy,
                              EvalSubstrate substrate =
                                  EvalSubstrate::kColumnar) {
   EvalOptions options;
   options.strategy = strategy;
-  options.materialize_parallelism = parallelism;
   options.substrate = substrate;
   auto m = engine.Materialize(universe, options);
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   return std::move(m).value();
 }
 
-// The differential check: naive is the oracle; semi-naive serial and
-// semi-naive 4-way must agree with it on the universe and the derived
-// relations. facts_derived is intentionally *not* compared — skipping
+// The differential check: naive is the oracle; semi-naive must agree with
+// it on the universe and the derived relations. facts_derived is intentionally *not* compared — skipping
 // re-derivations is the whole point of the delta strategy.
 void ExpectStrategiesAgree(const ViewEngine& engine, const Value& universe,
                            const std::string& context) {
   Materialized naive =
-      MaterializeWith(engine, universe, EvalStrategy::kNaive, 1);
+      MaterializeWith(engine, universe, EvalStrategy::kNaive);
   Materialized serial =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
-  Materialized parallel =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 4);
+      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive);
 
   EXPECT_EQ(naive.universe, serial.universe)
       << context << ": naive vs semi-naive universes differ";
   EXPECT_EQ(naive.derived_paths, serial.derived_paths)
       << context << ": naive vs semi-naive derived paths differ";
-  EXPECT_EQ(serial.universe, parallel.universe)
-      << context << ": serial vs parallel semi-naive universes differ";
-  EXPECT_EQ(serial.derived_paths, parallel.derived_paths)
-      << context << ": serial vs parallel derived paths differ";
-  // The write phase is sequential in rule order, so parallelism must not
-  // even change the counters.
-  EXPECT_EQ(serial.changes, parallel.changes) << context;
-  EXPECT_EQ(serial.facts_derived, parallel.facts_derived) << context;
-  EXPECT_EQ(serial.delta_size, parallel.delta_size) << context;
 
   // The tuple-at-a-time substrate is the oracle for the columnar kernels
   // (vectorized enumeration and the batch absorber): not just the universe
   // but every write-phase counter must be identical, because the batch path
   // claims to absorb into exactly the element the scan would pick.
   Materialized nested = MaterializeWith(
-      engine, universe, EvalStrategy::kSemiNaive, 1, EvalSubstrate::kNested);
+      engine, universe, EvalStrategy::kSemiNaive, EvalSubstrate::kNested);
   EXPECT_EQ(serial.universe, nested.universe)
       << context << ": columnar vs nested substrate universes differ";
   EXPECT_EQ(serial.derived_paths, nested.derived_paths)
@@ -164,7 +151,7 @@ TEST(DifferentialEngine, TransitiveClosureChain) {
                           "tc chain length " + std::to_string(length));
     // Sanity: the closure really is the full triangle.
     Materialized m =
-        MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
+        MaterializeWith(engine, universe, EvalStrategy::kSemiNaive);
     auto q = ParseQuery("?.d.tc(.from=X, .to=Y)");
     ASSERT_TRUE(q.ok());
     auto a = EvaluateQuery(m.universe, *q);
@@ -235,9 +222,9 @@ TEST(DifferentialEngine, SemiNaiveSkipsReDerivations) {
   Value universe = ChainUniverse(16);
 
   Materialized naive =
-      MaterializeWith(engine, universe, EvalStrategy::kNaive, 1);
+      MaterializeWith(engine, universe, EvalStrategy::kNaive);
   Materialized semi =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
+      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive);
 
   EXPECT_EQ(naive.universe, semi.universe);
   EXPECT_GT(semi.delta_size, 0u);
@@ -253,29 +240,6 @@ TEST(DifferentialEngine, SemiNaiveSkipsReDerivations) {
   std::string explain = semi.Explain();
   EXPECT_NE(explain.find("stratum"), std::string::npos) << explain;
   EXPECT_NE(explain.find("skipped"), std::string::npos) << explain;
-}
-
-// Parallelism must be invisible in the result, whatever the width.
-TEST(DifferentialEngine, ParallelismWidthInvariance) {
-  StockWorkloadConfig config;
-  config.num_stocks = 6;
-  config.num_days = 8;
-  config.seed = 7;
-  config.discrepancy_rate = 0.2;
-  StockWorkload w = GenerateStockWorkload(config);
-  Value universe = BuildStockUniverse(w);
-  ViewEngine engine = BuildEngine(PaperViewRules());
-
-  Materialized reference =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
-  for (size_t parallelism : {0, 2, 3, 8}) {
-    Materialized m = MaterializeWith(engine, universe,
-                                     EvalStrategy::kSemiNaive, parallelism);
-    EXPECT_EQ(reference.universe, m.universe) << "width " << parallelism;
-    EXPECT_EQ(reference.derived_paths, m.derived_paths)
-        << "width " << parallelism;
-    EXPECT_EQ(reference.changes, m.changes) << "width " << parallelism;
-  }
 }
 
 }  // namespace

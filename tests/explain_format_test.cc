@@ -289,7 +289,7 @@ TEST(ExplainFormatTest, ModePointLabels) {
   // Mode labels appear in mismatch reports and shrunk repro scripts; the
   // lattice order (reference first) is part of the sweep's contract.
   std::vector<ModePoint> lattice = FullModeLattice();
-  ASSERT_EQ(lattice.size(), 40u);
+  ASSERT_EQ(lattice.size(), 24u);
   EXPECT_EQ(lattice[0].Label(), "naive/remat/direct/plain");
   EXPECT_EQ(lattice[1].Label(), "naive/remat/direct/gov");
   EXPECT_EQ(lattice[2].Label(), "naive/remat/fed+faults/plain");
@@ -297,11 +297,11 @@ TEST(ExplainFormatTest, ModePointLabels) {
   // immediately followed by its cost-planned twin.
   EXPECT_EQ(lattice[8].Label(), "semi/remat/direct/plain");
   EXPECT_EQ(lattice[9].Label(), "semi/remat/direct/plain/plan");
-  EXPECT_EQ(lattice[38].Label(), "semi-par/inc/fed+faults/gov");
-  EXPECT_EQ(lattice[39].Label(), "semi-par/inc/fed+faults/gov/plan");
+  EXPECT_EQ(lattice[22].Label(), "semi/inc/fed+faults/gov");
+  EXPECT_EQ(lattice[23].Label(), "semi/inc/fed+faults/gov/plan");
   std::set<std::string> labels;
   for (const ModePoint& mode : lattice) labels.insert(mode.Label());
-  EXPECT_EQ(labels.size(), 40u) << "mode labels collide";
+  EXPECT_EQ(labels.size(), 24u) << "mode labels collide";
 
   ModePoint fed_no_faults;
   fed_no_faults.federated = true;

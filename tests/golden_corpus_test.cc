@@ -320,7 +320,7 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     const size_t server_sessions = ServerSessionsDirective(script);
     const bool wal = script.find("% wal:") != std::string::npos;
 
-    EvalOptions semi;  // defaults: kSemiNaive, auto parallelism, incremental
+    EvalOptions semi;  // defaults: kSemiNaive, incremental
     semi.max_passes = max_passes;
     if (script.find("% maintenance: rematerialize") != std::string::npos) {
       semi.maintenance = MaintenanceMode::kRematerialize;
@@ -390,15 +390,12 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
           << "N-session and 1-session server transcripts diverge";
     }
 
-    // `% trace:` scripts additionally run with tracing on — serially, so
-    // the span tree is machine-independent — and must produce byte-identical
-    // answers; the masked observability sections are appended and become
-    // part of the golden.
+    // `% trace:` scripts additionally run with tracing on and must produce
+    // byte-identical answers; the masked observability sections are
+    // appended and become part of the golden.
     if (script.find("% trace: text") != std::string::npos) {
-      EvalOptions serial = semi;
-      serial.materialize_parallelism = 1;
       std::string traced =
-          RunScript(script, name_mappings, serial, /*trace=*/true);
+          RunScript(script, name_mappings, semi, /*trace=*/true);
       ASSERT_GE(traced.size(), transcript.size());
       EXPECT_EQ(traced.substr(0, transcript.size()), transcript)
           << "tracing changed the script's answers";

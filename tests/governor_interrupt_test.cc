@@ -311,7 +311,7 @@ TEST(GovernorInterruptTest, UpdateInjectionSweepRollsBack) {
 // ---------------------------------------------------------------------------
 // Concurrent cancellation (the `stress` leg runs this under TSan): a second
 // thread flips the session's cancel token at staggered offsets while a
-// governed query materializes a multi-pass fixpoint on pool workers.
+// governed query materializes a multi-pass fixpoint.
 
 TEST(GovernorInterruptTest, ConcurrentCancelIsCleanAndRollsBack) {
   Session session;

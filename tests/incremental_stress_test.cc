@@ -5,8 +5,8 @@
 //    the Nth governor checkpoint for growing N — after every abort the base
 //    universe is untouched and the next request recovers by falling back to
 //    a full rematerialization that agrees with the oracle;
-//  * concurrent cancellation from a second thread while ApplyDelta runs on
-//    pool workers (the `stress` ctest label; the TSan CI leg re-runs it).
+//  * concurrent cancellation from a second thread while ApplyDelta runs
+//    (the `stress` ctest label; the TSan CI leg re-runs it).
 
 #include <chrono>
 #include <cstdint>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
+#include "object/value_io.h"
 #include "syntax/analysis.h"
 #include "syntax/printer.h"
 
@@ -236,6 +240,40 @@ TEST(ParserTest, ErrorsCarryPositions) {
   ASSERT_FALSE(q.ok());
   EXPECT_NE(q.status().message().find("1:"), std::string::npos)
       << q.status().ToString();
+}
+
+std::string Repeat(std::string_view unit, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+TEST(ParserTest, NestingPastBudgetIsRejected) {
+  // Unary minus, parentheses and attribute paths each recurse; past the
+  // budget every one is a positioned parse error, not a stack overflow.
+  for (const std::string& text :
+       {"?.db.r(.a=X), X = " + Repeat("-", 200000) + "1",
+        "?" + Repeat("(", 200000) + Repeat(")", 200000),
+        "?" + Repeat(".a", 200000)}) {
+    Result<Query> q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text.substr(0, 40);
+    EXPECT_NE(q.status().message().find("nesting deeper than"),
+              std::string::npos)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find("(at 1:"), std::string::npos)
+        << q.status().ToString();
+  }
+  EXPECT_FALSE(
+      ParseQuery("?.db.r(.a=X), X = " + Repeat("-", kMaxNestingDepth + 1) +
+                 "1")
+          .ok());
+}
+
+TEST(ParserTest, NestingAtBudgetParses) {
+  Result<Query> q = ParseQuery("?.db.r(.a=X), X = " +
+                               Repeat("-", kMaxNestingDepth) + "1");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->conjuncts.size(), 2u);
 }
 
 }  // namespace

@@ -200,7 +200,6 @@ SessionRun RunPaperSession(EvalStrategy strategy, EvalSubstrate substrate,
   materialize.substrate = substrate;
   materialize.maintenance = maintenance;
   materialize.planner = planner;
-  materialize.materialize_parallelism = 1;
   session.set_materialize_options(materialize);
 
   SessionRun run;
@@ -272,7 +271,6 @@ TEST(PlannerMaterializeTest, HigherOrderSpecializationFires) {
   Session session;
   EvalOptions materialize;
   materialize.planner = PlannerMode::kCostBased;
-  materialize.materialize_parallelism = 1;
   session.set_materialize_options(materialize);
   PaperUniverse paper = MakePaperUniverse();
   for (const auto& field : paper.universe.fields()) {

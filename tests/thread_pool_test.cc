@@ -1,5 +1,6 @@
-// Unit tests for the batch-parallel worker pool used by the semi-naive
-// materializer (common/thread_pool.h).
+// Unit tests for the batch-parallel worker pool behind the federation
+// gateway's site fan-out and the server's concurrent readers
+// (common/thread_pool.h).
 
 #include "common/thread_pool.h"
 
@@ -21,34 +22,17 @@ namespace {
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_workers(), 3u);
-  EXPECT_EQ(pool.num_slots(), 4u);
   std::vector<std::atomic<int>> hits(100);
-  pool.ParallelFor(hits.size(), [&](size_t task, size_t slot) {
-    ASSERT_LT(slot, pool.num_slots());
-    ++hits[task];
-  });
+  pool.ParallelFor(hits.size(), [&](size_t task) { ++hits[task]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SlotsNeverCollide) {
-  // Two tasks running concurrently never share a slot, so slot-indexed
-  // scratch state (the per-worker index caches) needs no locking.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> in_use(pool.num_slots());
-  std::atomic<bool> collided{false};
-  pool.ParallelFor(200, [&](size_t, size_t slot) {
-    if (in_use[slot].fetch_add(1) != 0) collided = true;
-    in_use[slot].fetch_sub(1);
-  });
-  EXPECT_FALSE(collided.load());
 }
 
 TEST(ThreadPool, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.num_slots(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
   int sum = 0;
-  pool.ParallelFor(10, [&](size_t task, size_t slot) {
-    EXPECT_EQ(slot, 0u);
+  pool.ParallelFor(10, [&](size_t task) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     sum += static_cast<int>(task);
   });
   EXPECT_EQ(sum, 45);
@@ -58,14 +42,14 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
   for (int batch = 0; batch < 50; ++batch) {
-    pool.ParallelFor(7, [&](size_t, size_t) { ++total; });
+    pool.ParallelFor(7, [&](size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 350);
 }
 
 TEST(ThreadPool, EmptyBatchIsNoOp) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [&](size_t, size_t) { FAIL(); });
+  pool.ParallelFor(0, [&](size_t) { FAIL(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -75,7 +59,7 @@ TEST(ThreadPool, FirstExceptionRethrownOnCaller) {
   ThreadPool pool(3);
   std::atomic<int> ran{0};
   try {
-    pool.ParallelFor(64, [&](size_t task, size_t) {
+    pool.ParallelFor(64, [&](size_t task) {
       ++ran;
       if (task == 17) throw std::runtime_error("task 17 exploded");
     });
@@ -92,7 +76,7 @@ TEST(ThreadPool, OnlyFirstOfManyExceptionsSurfaces) {
   ThreadPool pool(4);
   std::atomic<int> thrown{0};
   try {
-    pool.ParallelFor(100, [&](size_t, size_t) {
+    pool.ParallelFor(100, [&](size_t) {
       int id = ++thrown;
       throw std::runtime_error(std::string("boom ") + std::to_string(id));
     });
@@ -107,12 +91,12 @@ TEST(ThreadPool, OnlyFirstOfManyExceptionsSurfaces) {
 TEST(ThreadPool, PoolRemainsUsableAfterThrow) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.ParallelFor(
-                   8, [&](size_t, size_t) { throw std::logic_error("bad"); }),
+                   8, [&](size_t) { throw std::logic_error("bad"); }),
                std::logic_error);
   // The pending exception must not leak into the next (clean) batch.
   std::atomic<int> total{0};
   for (int batch = 0; batch < 10; ++batch) {
-    pool.ParallelFor(5, [&](size_t, size_t) { ++total; });
+    pool.ParallelFor(5, [&](size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 50);
 }
@@ -121,7 +105,7 @@ TEST(ThreadPool, InlinePoolPropagatesExceptionsToo) {
   ThreadPool pool(0);
   std::atomic<int> ran{0};
   EXPECT_THROW(pool.ParallelFor(4,
-                                [&](size_t task, size_t) {
+                                [&](size_t task) {
                                   ++ran;
                                   if (task == 1) {
                                     throw std::runtime_error("inline");
@@ -141,7 +125,7 @@ TEST(ThreadPool, DestructionWaitsForRunningBatch) {
   std::atomic<int> completed{0};
   {
     ThreadPool pool(4);
-    pool.ParallelFor(32, [&](size_t, size_t) {
+    pool.ParallelFor(32, [&](size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       ++completed;
     });
@@ -156,7 +140,7 @@ TEST(ThreadPool, RapidCreateDestroyCycles) {
   std::atomic<int> total{0};
   for (int cycle = 0; cycle < 50; ++cycle) {
     ThreadPool pool(3);
-    pool.ParallelFor(4, [&](size_t, size_t) { ++total; });
+    pool.ParallelFor(4, [&](size_t) { ++total; });
   }
   EXPECT_EQ(total.load(), 200);
 }
@@ -165,7 +149,7 @@ TEST(ThreadPool, DestructionAfterThrowingBatch) {
   // A batch whose tasks threw must leave the pool in a joinable state.
   auto pool = std::make_unique<ThreadPool>(3);
   EXPECT_THROW(pool->ParallelFor(
-                   16, [&](size_t, size_t) { throw std::runtime_error("x"); }),
+                   16, [&](size_t) { throw std::runtime_error("x"); }),
                std::runtime_error);
   pool.reset();  // must not hang or crash
 }

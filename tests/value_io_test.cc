@@ -104,6 +104,39 @@ TEST(ValueIoTest, RoundTripsDeepNestingAndEmptyRelations) {
   ExpectRoundTrip(MakeTuple({{"r", MakeSet({Value::EmptySet()})}}));
 }
 
+// `depth` nested sets and tuples, alternating, around the atom 7 — the
+// printer's own spelling: "{(n: {(n: 7)})}" at depth 4.
+std::string NestedLiteral(int depth) {
+  std::string open, close;
+  for (int i = 0; i < depth; ++i) {
+    open += i % 2 == 0 ? "{" : "(n: ";
+    close += i % 2 == 0 ? "}" : ")";
+  }
+  return open + "7" + std::string(close.rbegin(), close.rend());
+}
+
+TEST(ValueIoTest, NestingPastBudgetIsRejected) {
+  // Snapshot recovery and WAL replay parse these literals: a corrupt or
+  // hostile one must fail as a Status, not overflow the stack.
+  const std::string deep =
+      std::string(200000, '{') + std::string(200000, '}');
+  Result<Value> v = ParseValue(deep);
+  ASSERT_FALSE(v.ok());
+  EXPECT_NE(v.status().message().find("nesting deeper than"),
+            std::string::npos)
+      << v.status().ToString();
+  EXPECT_NE(v.status().message().find("offset"), std::string::npos);
+  EXPECT_FALSE(ParseValue(NestedLiteral(kMaxNestingDepth + 1)).ok());
+}
+
+TEST(ValueIoTest, NestingAtBudgetRoundTrips) {
+  const std::string text = NestedLiteral(kMaxNestingDepth);
+  Result<Value> v = ParseValue(text);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(ToString(*v), text);
+  ExpectRoundTrip(*v);
+}
+
 TEST(ValueIoTest, GeneratedTenantDatabasesRoundTrip) {
   // Property test over the discrepancy generator: every tenant database
   // (and the whole universe tuple) the workload generator can produce must

@@ -62,8 +62,8 @@ TEST(WorkloadDifferential, StaticUniversesAcrossFullLattice) {
   std::cout << FormatSweepReport(report);
   EXPECT_TRUE(report.ok()) << Describe(report);
   EXPECT_EQ(report.universes, 50u);
-  EXPECT_EQ(report.modes, 40u);  // 24 base + 16 cost-planned semi-naive
-  EXPECT_GT(report.comparisons, 50u * 39u - 1);
+  EXPECT_EQ(report.modes, 24u);  // 16 base + 8 cost-planned semi-naive
+  EXPECT_GT(report.comparisons, 50u * 23u - 1);
   EXPECT_EQ(report.fallbacks, 0u) << "incremental maintenance regressed";
 }
 
@@ -95,7 +95,7 @@ TEST(WorkloadDifferential, InjectedMismatchShrinksToMinimalRepro) {
   options.artifact_dir = dir.string();
   // Two modes keep the shrinker's re-runs cheap; the reference plus the
   // mode the injection corrupts.
-  options.modes = {ModePoint{EvalStrategy::kNaive, 1,
+  options.modes = {ModePoint{EvalStrategy::kNaive,
                              MaintenanceMode::kRematerialize, false, false,
                              false},
                    ModePoint{}};
@@ -147,7 +147,7 @@ TEST(WorkloadDifferential, InjectedMismatchShrinksToMinimalRepro) {
 // the scenario and reports no mismatch (guards the precondition contract).
 TEST(WorkloadDifferential, ShrinkerOnCleanScenarioReportsNothing) {
   SweepOptions options;
-  options.modes = {ModePoint{EvalStrategy::kNaive, 1,
+  options.modes = {ModePoint{EvalStrategy::kNaive,
                              MaintenanceMode::kRematerialize, false, false,
                              false},
                    ModePoint{}};
